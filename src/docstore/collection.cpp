@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
 #include "common/strings.h"
 #include "durable/journal.h"
@@ -227,49 +228,6 @@ void Collection::unindex_document(Slot slot, const Document& doc) {
   }
 }
 
-bool Collection::index_lookup(const Query& clause,
-                              std::vector<Slot>& out) const {
-  auto index_it = indexes_.find(clause.path());
-  if (index_it == indexes_.end()) return false;
-  const auto& entries = index_it->second.entries;
-  switch (clause.op()) {
-    case QueryOp::kEq: {
-      auto [lo, hi] = entries.equal_range(IndexKey{clause.values()[0]});
-      for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-      return true;
-    }
-    case QueryOp::kIn: {
-      for (const Value& v : clause.values()) {
-        auto [lo, hi] = entries.equal_range(IndexKey{v});
-        for (auto it = lo; it != hi; ++it) out.push_back(it->second);
-      }
-      return true;
-    }
-    case QueryOp::kLt: {
-      auto hi = entries.lower_bound(IndexKey{clause.values()[0]});
-      for (auto it = entries.begin(); it != hi; ++it) out.push_back(it->second);
-      return true;
-    }
-    case QueryOp::kLte: {
-      auto hi = entries.upper_bound(IndexKey{clause.values()[0]});
-      for (auto it = entries.begin(); it != hi; ++it) out.push_back(it->second);
-      return true;
-    }
-    case QueryOp::kGt: {
-      auto lo = entries.upper_bound(IndexKey{clause.values()[0]});
-      for (auto it = lo; it != entries.end(); ++it) out.push_back(it->second);
-      return true;
-    }
-    case QueryOp::kGte: {
-      auto lo = entries.lower_bound(IndexKey{clause.values()[0]});
-      for (auto it = lo; it != entries.end(); ++it) out.push_back(it->second);
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
 void Collection::note_plan(PlanKind kind) const {
   switch (kind) {
     case PlanKind::kScan:
@@ -305,54 +263,201 @@ void Collection::note_find(bool indexed) const {
   }
 }
 
+namespace {
+using Entries = std::multimap<IndexKey, std::size_t>;
+using EntryIt = Entries::const_iterator;
+
+/// Cost-model constant of the bounded intersection. Walking an index
+/// entry is a tree step and a slot copy; a candidate the intersection
+/// would have removed instead costs the residual `query.matches`, which
+/// rehydrates a lazy row and evaluates every clause — well over ten
+/// entry steps. So a range up to this many times the driver's length is
+/// worth walking and intersecting, and a longer one (the `app` index
+/// beside an hourly window holds every document) is dropped and left to
+/// the residual filter.
+constexpr std::size_t kIntersectMultiple = 16;
+
+/// The index entries admitted by some clauses on one indexed path, walked
+/// as a cursor: either the folded bounds of its eq/range clauses (one
+/// span) or one `in` clause (one span per compare-distinct value).
+struct Source {
+  const Entries* entries = nullptr;
+  bool folded = false;
+  std::vector<std::pair<EntryIt, EntryIt>> spans;
+  std::size_t span = 0;
+  EntryIt at;
+  std::vector<std::size_t> slots;  // the entries walked so far
+
+  /// Walks one entry into `slots`; false once every span is walked.
+  bool next() {
+    while (span < spans.size()) {
+      if (at != spans[span].second) {
+        slots.push_back(at->second);
+        ++at;
+        return true;
+      }
+      if (++span < spans.size()) at = spans[span].first;
+    }
+    return false;
+  }
+};
+
+// lower_bound/upper_bound/begin/end all return the first entry of a key
+// group (or end), so two such positions are ordered by their keys.
+EntryIt later(const Entries& e, EntryIt a, EntryIt b) {
+  if (a == e.end() || b == e.end()) return e.end();
+  return Value::compare(a->first.value, b->first.value) >= 0 ? a : b;
+}
+EntryIt earlier(const Entries& e, EntryIt a, EntryIt b) {
+  if (a == e.end()) return b;
+  if (b == e.end()) return a;
+  return Value::compare(a->first.value, b->first.value) <= 0 ? a : b;
+}
+}  // namespace
+
 Collection::Plan Collection::plan(const Query& query) const {
   Plan plan;
   if (!planner_enabled_) return plan;
-  // Candidate slots per indexable clause: the root itself, or any conjunct
-  // reachable through ANDs (nested ANDs are flattened — Query::range
-  // desugars to one, so "user == u AND time in [lo, hi)" yields two sets).
-  // Cost model: materializing a clause's slot list is linear in its
-  // selectivity and touches no documents, so gathering every indexable
-  // clause and intersecting is cheaper than filtering documents through
-  // the residual query whenever any clause is selective.
-  std::vector<std::vector<Slot>> sets;
-  std::vector<Slot> tmp;
-  if (index_lookup(query, tmp)) {
-    sets.push_back(std::move(tmp));
-  } else if (query.op() == QueryOp::kAnd) {
+  // Cost model: the plan's work should follow the size of the answer, not
+  // of the collection. Materializing and intersecting a slot list per
+  // clause costs the sum of their lengths, so "app == a AND captured_at in
+  // [from, until)" would pay for every document of the app to find one
+  // hour of it. Instead:
+  //  1. Fold: the eq/gt/gte/lt/lte clauses on one indexed path (the query
+  //     root, or conjuncts reachable through nested ANDs — Query::range
+  //     desugars to one) narrow a single [lower, upper) entry range; an
+  //     inverted or empty window admits nothing. Each `in` is a source of
+  //     its own.
+  //  2. Drive: walk every source one entry at a time in lock-step until
+  //     the first is exhausted. That shortest source is the driver, found
+  //     for at most (sources x driver length) entry steps.
+  //  3. Bound: intersect another source only if it ends within
+  //     kIntersectMultiple x the driver's length; a longer one is dropped.
+  // Whatever is not intersected stays with the residual query.matches,
+  // which re-checks every candidate, so results are exact either way.
+  std::vector<Source> sources;
+  auto add = [&](const Query& clause) {
+    auto index_it = indexes_.find(clause.path());
+    if (index_it == indexes_.end()) return;
+    const Entries& e = index_it->second.entries;
+    if (clause.op() == QueryOp::kIn) {
+      Source& in = sources.emplace_back();
+      in.entries = &e;
+      for (const Value& v : clause.values()) {
+        auto span = e.equal_range(IndexKey{v});
+        // Compare-equal values share a span; walk it once.
+        if (span.first != span.second &&
+            std::find(in.spans.begin(), in.spans.end(), span) ==
+                in.spans.end())
+          in.spans.push_back(span);
+      }
+      return;
+    }
+    EntryIt lo = e.begin(), hi = e.end();
+    switch (clause.op()) {
+      case QueryOp::kEq:
+        std::tie(lo, hi) = e.equal_range(IndexKey{clause.values()[0]});
+        break;
+      case QueryOp::kGt:
+        lo = e.upper_bound(IndexKey{clause.values()[0]});
+        break;
+      case QueryOp::kGte:
+        lo = e.lower_bound(IndexKey{clause.values()[0]});
+        break;
+      case QueryOp::kLt:
+        hi = e.lower_bound(IndexKey{clause.values()[0]});
+        break;
+      case QueryOp::kLte:
+        hi = e.upper_bound(IndexKey{clause.values()[0]});
+        break;
+      default:
+        return;
+    }
+    auto it = std::find_if(sources.begin(), sources.end(),
+                           [&](const Source& s) {
+                             return s.folded && s.entries == &e;
+                           });
+    if (it == sources.end()) {
+      it = sources.emplace(it);
+      it->entries = &e;
+      it->folded = true;
+      it->spans.emplace_back(e.begin(), e.end());
+    }
+    auto& [first, last] = it->spans[0];
+    first = later(e, first, lo);
+    last = earlier(e, last, hi);
+  };
+  if (query.op() == QueryOp::kAnd) {
     auto gather = [&](auto&& self, const Query& conjunction) -> void {
       for (const Query& child : conjunction.children()) {
         if (child.op() == QueryOp::kAnd) {
           self(self, child);
-          continue;
+        } else {
+          add(child);
         }
-        tmp.clear();
-        if (index_lookup(child, tmp)) sets.push_back(std::move(tmp));
       }
     };
     gather(gather, query);
+  } else {
+    add(query);
   }
-  if (sets.empty()) return plan;
-  for (auto& set : sets) {
-    // kIn with repeated values can list a slot twice.
-    std::sort(set.begin(), set.end());
-    set.erase(std::unique(set.begin(), set.end()), set.end());
+  if (sources.empty()) return plan;
+  for (Source& s : sources) {
+    if (s.folded) {
+      const auto& [first, last] = s.spans[0];
+      if (first == s.entries->end() ||
+          (last != s.entries->end() &&
+           Value::compare(first->first.value, last->first.value) >= 0))
+        s.spans.clear();
+    }
+    if (!s.spans.empty()) s.at = s.spans[0].first;
   }
-  // Cheapest (most selective) first, then intersect the rest into it.
-  std::sort(sets.begin(), sets.end(), [](const auto& a, const auto& b) {
-    return a.size() < b.size();
-  });
-  plan.candidates = std::move(sets[0]);
-  for (std::size_t i = 1; i < sets.size(); ++i) {
-    tmp.clear();
-    std::set_intersection(plan.candidates.begin(), plan.candidates.end(),
-                          sets[i].begin(), sets[i].end(),
-                          std::back_inserter(tmp));
-    plan.candidates.swap(tmp);
+
+  std::size_t driver = sources.size();
+  while (driver == sources.size()) {
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      if (!sources[i].next()) {
+        driver = i;
+        break;
+      }
+    }
   }
   plan.use_index = true;
-  plan.intersected = sets.size() > 1;
+  plan.candidates = std::move(sources[driver].slots);
+  std::sort(plan.candidates.begin(), plan.candidates.end());
+  const std::size_t cap = kIntersectMultiple * plan.candidates.size();
+  std::vector<Slot> tmp;
+  for (std::size_t i = 0; i < sources.size() && !plan.candidates.empty();
+       ++i) {
+    if (i == driver) continue;
+    Source& s = sources[i];
+    bool walked = false;
+    while (!walked && s.slots.size() <= cap) walked = !s.next();
+    if (!walked) continue;
+    std::sort(s.slots.begin(), s.slots.end());
+    tmp.clear();
+    std::set_intersection(plan.candidates.begin(), plan.candidates.end(),
+                          s.slots.begin(), s.slots.end(),
+                          std::back_inserter(tmp));
+    plan.candidates.swap(tmp);
+    plan.intersected = true;
+  }
   return plan;
+}
+
+template <typename Fn>
+void Collection::visit_matches(const Query& query, const Plan& p,
+                               Fn&& fn) const {
+  note_plan(p.kind());
+  note_find(p.use_index);
+  auto visit = [&](Slot s) {
+    if (slot_alive(s) && query.matches(doc_at(s))) fn(s, doc_at(s));
+  };
+  if (p.use_index) {
+    for (Slot s : p.candidates) visit(s);
+  } else {
+    for (Slot s = 0; s < slots_.size(); ++s) visit(s);
+  }
 }
 
 std::vector<Document> Collection::find(const Query& query,
@@ -367,17 +472,8 @@ std::vector<Document> Collection::find(const Query& query,
       return find_via_sort_index(query, options, idx_it->second);
     }
   }
-  note_plan(p.use_index
-                ? (p.intersected ? PlanKind::kIntersect : PlanKind::kIndexed)
-                : PlanKind::kScan);
-  note_find(p.use_index);
-  if (p.use_index) {
-    for (Slot s : p.candidates)
-      if (slot_alive(s) && query.matches(doc_at(s))) out.push_back(doc_at(s));
-  } else {
-    for (Slot s = 0; s < slots_.size(); ++s)
-      if (slot_alive(s) && query.matches(doc_at(s))) out.push_back(doc_at(s));
-  }
+  visit_matches(query, p,
+                [&](Slot, const Document& d) { out.push_back(d); });
 
   if (!options.sort_by.empty()) {
     std::stable_sort(out.begin(), out.end(),
@@ -562,18 +658,7 @@ std::size_t Collection::count(const Query& query) const {
     }
   }
   std::size_t n = 0;
-  Plan p = plan(query);
-  note_plan(p.use_index
-                ? (p.intersected ? PlanKind::kIntersect : PlanKind::kIndexed)
-                : PlanKind::kScan);
-  note_find(p.use_index);
-  if (p.use_index) {
-    for (Slot s : p.candidates)
-      if (slot_alive(s) && query.matches(doc_at(s))) ++n;
-  } else {
-    for (Slot s = 0; s < slots_.size(); ++s)
-      if (slot_alive(s) && query.matches(doc_at(s))) ++n;
-  }
+  visit_matches(query, plan(query), [&](Slot, const Document&) { ++n; });
   return n;
 }
 
@@ -616,9 +701,8 @@ std::size_t Collection::update_many(
   // if it removed the document mid-flight, the update is dropped rather
   // than resurrecting it.
   std::vector<Slot> matches;
-  for (Slot slot = 0; slot < slots_.size(); ++slot)
-    if (slot_alive(slot) && query.matches(doc_at(slot)))
-      matches.push_back(slot);
+  visit_matches(query, plan(query),
+                [&](Slot slot, const Document&) { matches.push_back(slot); });
   std::size_t updated = 0;
   for (Slot slot : matches) {
     if (!slot_alive(slot)) continue;  // removed by an earlier mutate
@@ -670,9 +754,9 @@ bool Collection::remove_checked(const std::string& id, bool journaled) {
 
 std::size_t Collection::remove_many(const Query& query) {
   std::vector<std::string> ids;
-  for (Slot s = 0; s < slots_.size(); ++s)
-    if (slot_alive(s) && query.matches(doc_at(s)))
-      ids.push_back(doc_at(s).at("_id").as_string());
+  visit_matches(query, plan(query), [&](Slot, const Document& d) {
+    ids.push_back(d.at("_id").as_string());
+  });
   for (const std::string& id : ids) remove(id);
   return ids.size();
 }
@@ -745,18 +829,13 @@ std::vector<Value> Collection::distinct(const std::string& path,
     }
   }
   std::vector<Value> out;
-  for (Slot s = 0; s < slots_.size(); ++s) {
-    if (!slot_alive(s) || !query.matches(doc_at(s))) continue;
-    if (const Value* v = doc_at(s).find_path(path)) {
-      bool seen = false;
-      for (const Value& existing : out)
-        if (existing == *v) {
-          seen = true;
-          break;
-        }
-      if (!seen) out.push_back(*v);
-    }
-  }
+  visit_matches(query, plan(query), [&](Slot, const Document& d) {
+    const Value* v = d.find_path(path);
+    if (v == nullptr) return;
+    for (const Value& existing : out)
+      if (existing == *v) return;
+    out.push_back(*v);
+  });
   std::sort(out.begin(), out.end(), [](const Value& a, const Value& b) {
     return Value::compare(a, b) < 0;
   });
@@ -783,10 +862,9 @@ std::vector<std::pair<Value, std::size_t>> Collection::group_count(
     }
   }
   std::map<IndexKey, std::size_t> groups;
-  for (Slot s = 0; s < slots_.size(); ++s) {
-    if (!slot_alive(s) || !query.matches(doc_at(s))) continue;
-    if (const Value* v = doc_at(s).find_path(path)) ++groups[IndexKey{*v}];
-  }
+  visit_matches(query, plan(query), [&](Slot, const Document& d) {
+    if (const Value* v = d.find_path(path)) ++groups[IndexKey{*v}];
+  });
   std::vector<std::pair<Value, std::size_t>> out;
   out.reserve(groups.size());
   for (auto& [key, n] : groups) out.emplace_back(key.value, n);
@@ -797,11 +875,10 @@ std::vector<Collection::GroupAggregate> Collection::group_aggregate(
     const std::string& group_path, const std::string& value_path,
     const Query& query) const {
   std::map<IndexKey, GroupAggregate> groups;
-  for (Slot s = 0; s < slots_.size(); ++s) {
-    if (!slot_alive(s) || !query.matches(doc_at(s))) continue;
-    const Value* key = doc_at(s).find_path(group_path);
-    const Value* value = doc_at(s).find_path(value_path);
-    if (key == nullptr || value == nullptr || !value->is_number()) continue;
+  visit_matches(query, plan(query), [&](Slot, const Document& d) {
+    const Value* key = d.find_path(group_path);
+    const Value* value = d.find_path(value_path);
+    if (key == nullptr || value == nullptr || !value->is_number()) return;
     double x = value->as_double();
     auto [it, inserted] = groups.try_emplace(IndexKey{*key});
     GroupAggregate& agg = it->second;
@@ -814,7 +891,7 @@ std::vector<Collection::GroupAggregate> Collection::group_aggregate(
     }
     ++agg.count;
     agg.sum += x;
-  }
+  });
   std::vector<GroupAggregate> out;
   out.reserve(groups.size());
   for (auto& [_, agg] : groups) {

@@ -40,9 +40,10 @@ struct CollectionStats {
   std::size_t index_count = 0;
   std::uint64_t total_inserts = 0;
   std::uint64_t total_removes = 0;
-  std::uint64_t indexed_finds = 0;  ///< finds served through an index
-  std::uint64_t scanned_finds = 0;  ///< finds answered by full scan
-  // Planner decisions (one bump per planned find/count/distinct/group).
+  std::uint64_t indexed_finds = 0;  ///< queries served through an index
+  std::uint64_t scanned_finds = 0;  ///< queries answered by full scan
+  // Planner decisions (one bump per planned find/count/distinct/group/
+  // group_aggregate/update_many/remove_many).
   std::uint64_t plans_scan = 0;        ///< no usable index: full scan
   std::uint64_t plans_indexed = 0;     ///< one index supplied candidates
   std::uint64_t plans_intersect = 0;   ///< several AND indexes intersected
@@ -211,15 +212,23 @@ class Collection {
   /// `docstore.plans_*` registry counters).
   enum class PlanKind { kScan, kIndexed, kIntersect, kCovered, kSortIndex };
 
-  /// An access-path decision: either a full scan (use_index false) or a
-  /// sorted, deduplicated candidate-slot list produced from the cheapest
-  /// applicable index — intersected across indexable AND clauses when the
-  /// query has several. The full query is still re-applied to every
-  /// candidate, so the plan only has to be a superset of the matches.
+  /// An access-path decision: either a full scan (use_index false) or an
+  /// ascending candidate-slot list read from index key ranges. The
+  /// eq/range clauses on one indexed path fold into one range, the
+  /// shortest range drives, and another range is intersected into it only
+  /// while its length stays within a fixed multiple of the driver's
+  /// (plan() documents the cost model). The full query is still re-applied
+  /// to every candidate, so the plan only has to be a superset of the
+  /// matches.
   struct Plan {
     bool use_index = false;
     bool intersected = false;
     std::vector<Slot> candidates;
+
+    PlanKind kind() const {
+      if (!use_index) return PlanKind::kScan;
+      return intersected ? PlanKind::kIntersect : PlanKind::kIndexed;
+    }
   };
 
   /// A slot whose document has not been rehydrated from its flat batch
@@ -252,7 +261,11 @@ class Collection {
   void index_document(Slot slot, const Document& doc);
   void unindex_document(Slot slot, const Document& doc);
   Plan plan(const Query& query) const;
-  bool index_lookup(const Query& clause, std::vector<Slot>& out) const;
+  /// Records `p` (plan and find counters) and calls fn(slot, document)
+  /// for every live document matching `query`, in ascending slot order:
+  /// the plan's candidates, or every slot when it is a scan.
+  template <typename Fn>
+  void visit_matches(const Query& query, const Plan& p, Fn&& fn) const;
   /// Exact match count from index entries alone (no document access);
   /// false when the query shape is not covered by an index.
   bool covered_count(const Query& query, std::size_t& out) const;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/strings.h"
+#include "ingest/obs_batch.h"
 #include "phone/observation.h"
 
 namespace mps::core {
@@ -424,6 +425,79 @@ TEST_F(ServerTest, MultipleAppsIsolated) {
   ObservationFilter theirs;
   theirs.app = "airquality";
   EXPECT_EQ(server.count_observations(admin_token, theirs).value_or_throw(), 1u);
+}
+
+TEST_F(ServerTest, TimeWindowReadOnFlatStoreWalksOnlyTheWindow) {
+  // Flat ingest without a journal stores lazy rows. An hourly read for one
+  // app must be planned as the captured_at range alone: the app index
+  // holds nearly every document, so it is left to the residual filter,
+  // which still drops the other app's rows inside the window.
+  auto other = server.register_app("airquality").value_or_throw();
+  std::string other_client =
+      server.register_account(other.admin_token, "airquality", "carol",
+                              Role::kClient)
+          .value_or_throw();
+  ingest::BatchPool pool;
+  auto publish = [&](const std::string& token, const AppId& app, int b) {
+    ClientId client = "mob" + std::to_string(b % 7);
+    std::vector<phone::Observation> rows;
+    for (int i = 0; i < 10; ++i) {
+      phone::Observation o;
+      o.user = "u" + std::to_string(b % 7);
+      o.model = "M";
+      // Shuffled minutes, so index order differs from insertion order.
+      o.captured_at = minutes((b * 37 % 200) * 10 + i);
+      o.spl_db = 40.0 + i;
+      rows.push_back(std::move(o));
+    }
+    TimeMs sent_at = rows.back().captured_at + 1000;
+    auto channels = server.login_client(token, app, client).value_or_throw();
+    broker
+        .publish_flat(channels.exchange, app + ".obs." + client,
+                      pool.make_batch(app, client,
+                                      app + "#" + std::to_string(b), sent_at,
+                                      rows),
+                      sent_at)
+        .value_or_throw();
+  };
+  for (int b = 0; b < 200; ++b) publish(client_token, "soundcity", b);
+  for (int b = 0; b < 20; ++b) publish(other_client, "airquality", b);
+  auto& col = db.collection("observations");
+  ASSERT_EQ(col.size(), 2200u);
+
+  std::size_t airquality_in_windows = 0;
+  for (int h = 0; h < 34; ++h) {
+    ObservationFilter filter;
+    filter.app = "soundcity";
+    filter.from = hours(h);
+    filter.until = hours(h + 1);
+    docstore::CollectionStats before = col.stats();
+    auto fast = server.query_observations(admin_token, filter).value_or_throw();
+    std::size_t fast_count =
+        server.count_observations(admin_token, filter).value_or_throw();
+    EXPECT_EQ(col.stats().plans_indexed, before.plans_indexed + 2) << h;
+    EXPECT_EQ(col.stats().plans_intersect, before.plans_intersect) << h;
+    EXPECT_EQ(col.stats().plans_scan, before.plans_scan) << h;
+
+    col.set_planner_enabled(false);
+    auto reference =
+        server.query_observations(admin_token, filter).value_or_throw();
+    EXPECT_EQ(server.count_observations(admin_token, filter).value_or_throw(),
+              fast_count)
+        << h;
+    col.set_planner_enabled(true);
+    EXPECT_EQ(fast, reference) << h;
+    EXPECT_EQ(fast.size(), fast_count) << h;
+    for (const Value& doc : fast) {
+      EXPECT_EQ(doc.get_string("app"), "soundcity");
+      EXPECT_GE(doc.get_int("captured_at"), hours(h));
+      EXPECT_LT(doc.get_int("captured_at"), hours(h + 1));
+    }
+    filter.app = "airquality";
+    airquality_in_windows +=
+        server.count_observations(admin_token, filter).value_or_throw();
+  }
+  EXPECT_EQ(airquality_in_windows, 200u);
 }
 
 }  // namespace

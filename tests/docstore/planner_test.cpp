@@ -53,6 +53,27 @@ std::vector<Document> find_both_ways(Collection& c, const Query& q,
   return fast;
 }
 
+/// find (with `options`) and count agree with the planner on and off.
+void expect_same_both_ways(Collection& c, const Query& q,
+                           const FindOptions& options = {}) {
+  find_both_ways(c, q, options);
+  c.set_planner_enabled(true);
+  std::size_t fast = c.count(q);
+  c.set_planner_enabled(false);
+  std::size_t reference = c.count(q);
+  c.set_planner_enabled(true);
+  EXPECT_EQ(fast, reference) << q.to_string();
+}
+
+/// A page of the time-sorted matches: exercises sort, skip and limit.
+FindOptions sorted_page(const std::string& path) {
+  FindOptions options;
+  options.sort_by = path;
+  options.skip = 3;
+  options.limit = 25;
+  return options;
+}
+
 TEST(PlannerTest, IndexedEqBumpsIndexedCounter) {
   Collection c = make_indexed_collection();
   std::uint64_t before = c.stats().indexed_finds;
@@ -285,6 +306,186 @@ TEST(PlannerTest, RandomizedQueriesAgreeWithReference) {
     std::size_t ref_count = c.count(q);
     c.set_planner_enabled(true);
     EXPECT_EQ(fast_count, ref_count) << q.to_string();
+  }
+}
+
+TEST(PlannerTest, WindowBesideUnselectiveEqWalksOnlyTheWindow) {
+  // The hourly read-back shape: "app == a AND t in [from, until)" where
+  // nearly every document belongs to the app. The window drives; the app
+  // range is far past the intersection cap and is left to the residual
+  // filter, which still drops the few "other" documents in the window.
+  Collection c("obs");
+  c.create_index("app");
+  c.create_index("t");
+  for (int i = 0; i < 2000; ++i)
+    c.insert(Value(Object{{"app", Value(i % 25 == 0 ? "other" : "main")},
+                          {"t", Value(i * 7919 % 2000)},
+                          {"spl", Value(30.0 + i % 60)}}));
+  Query q = Query::and_({Query::eq("app", Value("main")),
+                         Query::gte("t", Value(700)),
+                         Query::lt("t", Value(760))});
+  for (const FindOptions& options : {FindOptions{}, sorted_page("t")}) {
+    CollectionStats before = c.stats();
+    expect_same_both_ways(c, q, options);
+    EXPECT_EQ(c.stats().plans_indexed, before.plans_indexed + 2);
+    EXPECT_EQ(c.stats().plans_intersect, before.plans_intersect);
+  }
+  c.set_planner_enabled(true);
+  auto all = c.find(q);
+  EXPECT_EQ(all.size(), 57u);  // 60 window docs, 3 of them "other"
+}
+
+TEST(PlannerTest, BoundsOnOnePathFoldIntoOneRange) {
+  Collection c = make_indexed_collection();
+  auto t = [](auto v) { return Value(v); };
+  std::vector<Query> queries = {
+      // Duplicate bounds.
+      Query::and_({Query::gte("captured_at", t(100)),
+                   Query::gte("captured_at", t(100)),
+                   Query::lt("captured_at", t(200)),
+                   Query::lt("captured_at", t(200))}),
+      // gt + lte, and the tighter of two bounds on each side.
+      Query::and_({Query::gt("captured_at", t(140)),
+                   Query::lte("captured_at", t(210))}),
+      Query::and_({Query::gt("captured_at", t(50)),
+                   Query::gte("captured_at", t(140)),
+                   Query::lte("captured_at", t(300)),
+                   Query::lt("captured_at", t(210))}),
+      // Strict and inclusive bounds on the same key: strict wins.
+      Query::and_({Query::gte("captured_at", t(140)),
+                   Query::gt("captured_at", t(140)),
+                   Query::lte("captured_at", t(210)),
+                   Query::lt("captured_at", t(210))}),
+      // Nested ANDs fold with the outer bounds.
+      Query::and_({Query::range("captured_at", t(0), t(400)),
+                   Query::and_({Query::gte("captured_at", t(350))})}),
+      // An eq folds with the range bounds around it.
+      Query::and_({Query::eq("captured_at", t(140)),
+                   Query::range("captured_at", t(100), t(200))}),
+      // Inverted windows (lo >= hi) and empty ones.
+      Query::range("captured_at", t(300), t(200)),
+      Query::range("captured_at", t(200), t(200)),
+      Query::and_({Query::gt("captured_at", t(200)),
+                   Query::lte("captured_at", t(200))}),
+      Query::and_({Query::eq("captured_at", t(140)),
+                   Query::lt("captured_at", t(140))}),
+      Query::range("captured_at", t(501), t(900)),
+      Query::range("captured_at", t(-50), t(0)),
+  };
+  for (const Query& q : queries) {
+    CollectionStats before = c.stats();
+    expect_same_both_ways(c, q);
+    expect_same_both_ways(c, q, sorted_page("captured_at"));
+    // One path is one source: nothing to intersect.
+    EXPECT_EQ(c.stats().plans_intersect, before.plans_intersect)
+        << q.to_string();
+    EXPECT_EQ(c.stats().plans_indexed, before.plans_indexed + 4)
+        << q.to_string();
+  }
+  c.set_planner_enabled(true);
+  EXPECT_TRUE(c.find(Query::range("captured_at", t(300), t(200))).empty());
+  EXPECT_EQ(c.count(queries[9]), 0u);
+}
+
+TEST(PlannerTest, BoundsOfMixedValueTypesFoldLikeTheScan) {
+  // Value::compare ranks null < bool < number < string, with ints and
+  // doubles on one numeric axis; folded bounds must follow that order.
+  Collection c("mixed");
+  c.create_index("k");
+  c.create_index("g");
+  for (int i = 0; i < 10; ++i) {
+    c.insert(Value(Object{{"k", Value(i)}, {"g", Value(i % 2)}}));
+    c.insert(Value(Object{{"k", Value(i + 0.5)}, {"g", Value(i % 2)}}));
+    c.insert(Value(Object{{"k", Value(std::string(1, char('a' + i)))},
+                          {"g", Value(i % 2)}}));
+  }
+  c.insert(Value(Object{{"k", Value()}, {"g", Value(0)}}));
+  c.insert(Value(Object{{"k", Value(true)}, {"g", Value(1)}}));
+  c.insert(Value(Object{{"g", Value(0)}}));  // no k at all
+  std::vector<Query> queries = {
+      Query::range("k", Value(2), Value(5.5)),
+      Query::range("k", Value(2.0), Value(5)),
+      Query::and_({Query::gte("k", Value(3)), Query::lt("k", Value("c"))}),
+      Query::and_({Query::gt("k", Value()), Query::lt("k", Value(1))}),
+      Query::and_({Query::gte("k", Value()), Query::lte("k", Value())}),
+      Query::and_({Query::gte("k", Value("b")), Query::lt("k", Value(100))}),
+      Query::and_({Query::eq("k", Value(3)), Query::gte("k", Value(3.0))}),
+      Query::and_({Query::gt("k", Value(4.0)), Query::lte("k", Value(4))}),
+      Query::and_({Query::gt("k", Value(false)), Query::lt("k", Value(0))}),
+      Query::and_({Query::eq("g", Value(1)), Query::gte("k", Value(7)),
+                   Query::lt("k", Value("zz"))}),
+      Query::and_({Query::in("g", {Value(0), Value(0.0)}),
+                   Query::lte("k", Value(2.5))}),
+  };
+  for (const Query& q : queries) {
+    expect_same_both_ways(c, q);
+    expect_same_both_ways(c, q, sorted_page("k"));
+  }
+}
+
+TEST(PlannerTest, FoldedRangeClausesAgreeWithReference) {
+  // Property test: 1-4 range clauses on each of two indexed paths plus an
+  // eq/in on a low-cardinality indexed field, against the full scan.
+  Rng rng(77);
+  Collection c("p");
+  c.create_index("a");
+  c.create_index("b");
+  c.create_index("g");
+  for (int i = 0; i < 600; ++i) {
+    Object o;
+    if (!rng.bernoulli(0.05)) {
+      std::int64_t a = rng.uniform_int(0, 40);
+      o.set("a", rng.bernoulli(0.2) ? Value(static_cast<double>(a) + 0.5)
+                                    : Value(a));
+    }
+    if (!rng.bernoulli(0.05)) o.set("b", Value(rng.uniform_int(0, 200)));
+    o.set("g", Value("g" + std::to_string(rng.uniform_int(0, 2))));
+    c.insert(Value(std::move(o)));
+  }
+  const QueryOp kRangeOps[] = {QueryOp::kGt, QueryOp::kGte, QueryOp::kLt,
+                               QueryOp::kLte};
+  auto bound = [&](const std::string& path, int hi) {
+    std::int64_t x = rng.uniform_int(-2, hi);
+    Value v = rng.bernoulli(0.25) ? Value(static_cast<double>(x) + 0.5)
+                                  : Value(x);
+    switch (kRangeOps[rng.uniform_int(0, 3)]) {
+      case QueryOp::kGt: return Query::gt(path, std::move(v));
+      case QueryOp::kGte: return Query::gte(path, std::move(v));
+      case QueryOp::kLt: return Query::lt(path, std::move(v));
+      default: return Query::lte(path, std::move(v));
+    }
+  };
+  for (int i = 0; i < 300; ++i) {
+    std::vector<Query> clauses;
+    for (auto n = rng.uniform_int(1, 4); n > 0; --n)
+      clauses.push_back(bound("a", 42));
+    if (rng.bernoulli(0.5))
+      for (auto n = rng.uniform_int(1, 4); n > 0; --n)
+        clauses.push_back(bound("b", 202));
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        clauses.push_back(
+            Query::eq("g", Value("g" + std::to_string(rng.uniform_int(0, 2)))));
+        break;
+      case 1:
+        clauses.push_back(Query::in(
+            "g", {Value("g" + std::to_string(rng.uniform_int(0, 2))),
+                  Value("g" + std::to_string(rng.uniform_int(0, 3)))}));
+        break;
+      default: break;
+    }
+    for (std::size_t j = clauses.size() - 1; j > 0; --j)
+      std::swap(clauses[j], clauses[static_cast<std::size_t>(rng.uniform_int(
+                                0, static_cast<std::int64_t>(j)))]);
+    Query q = Query::and_(std::move(clauses));
+    FindOptions options;
+    if (rng.bernoulli(0.5)) {
+      options.sort_by = rng.bernoulli(0.5) ? "a" : "b";
+      options.descending = rng.bernoulli(0.5);
+      options.skip = static_cast<std::size_t>(rng.uniform_int(0, 5));
+      options.limit = static_cast<std::size_t>(rng.uniform_int(0, 30));
+    }
+    expect_same_both_ways(c, q, options);
   }
 }
 
