@@ -39,8 +39,8 @@ class Arena {
       Block& b = blocks_[current_];
       std::size_t aligned = (b.used + (align - 1)) & ~(align - 1);
       if (aligned + bytes <= b.size) {
+        bump_epoch_bytes(aligned + bytes - b.used);
         b.used = aligned + bytes;
-        bump_epoch_bytes(b);
         return b.data.get() + aligned;
       }
       ++current_;
@@ -49,11 +49,13 @@ class Arena {
     // No block fits: grow by one (oversized requests get a snug block).
     Block b;
     b.size = bytes > block_bytes_ ? bytes : block_bytes_;
-    b.data = std::make_unique<std::byte[]>(b.size);
+    // Not value-initialized: a fresh block is written before it is read,
+    // so zero-filling it would only fault in pages nobody uses yet.
+    b.data = std::make_unique_for_overwrite<std::byte[]>(b.size);
     b.used = bytes;
     blocks_.push_back(std::move(b));
     current_ = blocks_.size() - 1;
-    bump_epoch_bytes(blocks_.back());
+    bump_epoch_bytes(bytes);
     return blocks_.back().data.get();
   }
 
@@ -109,13 +111,10 @@ class Arena {
     std::size_t used = 0;
   };
 
-  void bump_epoch_bytes(const Block&) {
-    // Track usage as the sum of per-block cursors (cheap, monotone
-    // within an epoch).
-    std::size_t total = 0;
-    for (std::size_t i = 0; i <= current_ && i < blocks_.size(); ++i)
-      total += blocks_[i].used;
-    epoch_bytes_ = total;
+  /// Keeps epoch_bytes_ equal to the sum of the per-block cursors up to
+  /// the current block by adding each cursor's advance.
+  void bump_epoch_bytes(std::size_t advance) {
+    epoch_bytes_ += advance;
     if (epoch_bytes_ > high_water_) high_water_ = epoch_bytes_;
   }
 

@@ -612,7 +612,7 @@ void GoFlowServer::store_batch_flat(std::uint64_t id, PendingBatch& batch) {
     }
     std::size_t run_len = run_end - batch.next;
     std::size_t inserted = collection.insert_batch(
-        batch.flat, batch.next, run_len, batch.published_at);
+        flat, batch.next, run_len, batch.published_at);
     for (std::size_t r = 0; r < inserted; ++r)
       if (account_stored_flat(id, batch, /*dup=*/false, key)) return;
     if (inserted < run_len) {

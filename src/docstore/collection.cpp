@@ -92,9 +92,9 @@ std::string Collection::insert_checked(Document doc, bool journaled) {
                             {"c", Value(name_)},
                             {"doc", doc}}));
   Slot slot = slots_.size();
-  slots_.push_back(std::move(doc));
+  store_eager(slot, std::move(doc));
   id_to_slot_[id] = slot;
-  index_document(slot, *slots_[slot]);
+  index_document(slot, docs_.back());
   ++stats_.total_inserts;
   stats_.document_count = id_to_slot_.size();
   if (metrics_.inserts != nullptr) metrics_.inserts->inc();
@@ -102,10 +102,106 @@ std::string Collection::insert_checked(Document doc, bool journaled) {
   return id;
 }
 
-std::size_t Collection::insert_batch(
-    const std::shared_ptr<const ingest::ObsBatch>& batch, std::size_t first,
-    std::size_t count, TimeMs received_at) {
-  const ingest::ObsBatch& b = *batch;
+Collection::Segment::Segment() {
+  auto reserve = [](auto&... columns) { (columns.reserve(kRows), ...); };
+  reserve(span_id, captured_at, spl, x, y, accuracy, mode, activity,
+          has_location, provider, user, model, app, client, received_at,
+          id_counter);
+}
+
+std::uint32_t Collection::Segment::intern(std::string_view s) {
+  auto it = string_ids.find(s);
+  if (it != string_ids.end()) return it->second;
+  auto id = static_cast<std::uint32_t>(strings.size());
+  strings.emplace_back(s);
+  string_ids.emplace(std::string(s), id);
+  return id;
+}
+
+void Collection::Segment::append(const ingest::ObsBatch& b, std::size_t first,
+                                 std::size_t n, TimeMs at,
+                                 std::uint64_t first_id) {
+  auto block = [&](auto& column, auto whole) {
+    column.insert(column.end(), whole.begin() + first,
+                  whole.begin() + first + n);
+  };
+  block(span_id, b.span_ids());
+  block(captured_at, b.captured_ats());
+  block(spl, b.spls());
+  block(mode, b.modes());
+  block(activity, b.activities());
+  block(has_location, b.has_locations());
+  block(provider, b.providers());
+  block(x, b.xs());
+  block(y, b.ys());
+  block(accuracy, b.accuracies());
+  // The batch's own string table maps to this segment's once per batch.
+  std::vector<std::uint32_t> local(b.string_count());
+  for (std::size_t k = 0; k < local.size(); ++k)
+    local[k] = intern(b.strings()[k]);
+  for (std::size_t i = first; i < first + n; ++i) {
+    user.push_back(local[b.user_index(i)]);
+    model.push_back(local[b.model_index(i)]);
+  }
+  app.insert(app.end(), n, intern(b.app()));
+  client.insert(client.end(), n, intern(b.client()));
+  received_at.insert(received_at.end(), n, at);
+  for (std::size_t k = 0; k < n; ++k) id_counter.push_back(first_id + k);
+}
+
+Document Collection::Segment::document(std::uint32_t r,
+                                       const std::string& collection) const {
+  ingest::ObsRow row;
+  row.app = strings[app[r]];
+  row.client = strings[client[r]];
+  row.user = strings[user[r]];
+  row.model = strings[model[r]];
+  row.span_id = span_id[r];
+  row.captured_at = captured_at[r];
+  row.spl_db = spl[r];
+  row.mode = static_cast<phone::SensingMode>(mode[r]);
+  row.activity = static_cast<phone::Activity>(activity[r]);
+  row.has_location = has_location[r] != 0;
+  row.provider = static_cast<phone::LocationProvider>(provider[r]);
+  row.x_m = x[r];
+  row.y_m = y[r];
+  row.accuracy_m = accuracy[r];
+  Document doc = row.storage_document(received_at[r]);
+  doc.as_object().set("_id",
+                      Value(collection + "-" + std::to_string(id_counter[r])));
+  return doc;
+}
+
+std::size_t Collection::insert_batch(const ingest::ObsBatch& b,
+                                     std::size_t first, std::size_t count,
+                                     TimeMs received_at) {
+  // Same per-row fault consultation, in the same stream order, as a loop
+  // of insert() calls — nothing else consults the plan in between, so
+  // asking for every row up front is equivalent. A transient failure
+  // stops the run before touching any state for its row, and the caller
+  // resumes from first+n after backoff.
+  std::size_t n = 0;
+  while (n < count && !insert_fault_.should_fail()) ++n;
+  const Slot base = slots_.size();
+  if (journal_ == nullptr) {
+    // Fast path: no document materialization — the rows are copied into
+    // the tail segment as column blocks, sealing it when it fills.
+    for (std::size_t done = 0; done < n;) {
+      if (segments_.empty() || segments_.back().size() == Segment::kRows) {
+        if (!segments_.empty()) segments_.back().seal();
+        segments_.emplace_back();
+      }
+      Segment& seg = segments_.back();
+      std::size_t take = std::min(n - done, Segment::kRows - seg.size());
+      auto seg_row = static_cast<std::uint32_t>(seg.size());
+      seg.append(b, first + done, take, received_at, id_counter_ + done + 1);
+      auto seg_index = static_cast<std::uint32_t>(segments_.size() - 1);
+      for (std::size_t k = 0; k < take; ++k)
+        slots_.push_back(
+            SlotRef{seg_index, seg_row + static_cast<std::uint32_t>(k)});
+      done += take;
+    }
+  }
   // Per-index insertion cursor. Batch columns are highly repetitive
   // (constant app id, a handful of device models, monotonically
   // increasing timestamps), so remembering where the previous row's
@@ -123,43 +219,34 @@ std::size_t Collection::insert_batch(
   cursors.reserve(indexes_.size());
   for (auto& [path, index] : indexes_)
     cursors.push_back(Cursor{&path, &index, index.entries.end(), false});
-  std::size_t done = 0;
-  for (; done < count; ++done) {
+  Document built;
+  for (std::size_t done = 0; done < n; ++done) {
     std::size_t row = first + done;
-    // Same per-row fault consultation, in the same stream order, as a
-    // loop of insert() calls — a transient failure stops the run before
-    // touching any state for this row, and the caller resumes from
-    // first+done after backoff.
-    if (insert_fault_.should_fail()) return done;
     std::string id = generate_id();
-    Slot slot = slots_.size();
-    if (journal_ == nullptr) {
-      // Fast path: no document materialization — the slot keeps a
-      // reference into the batch and rehydrates on first read.
-      slots_.emplace_back(std::nullopt);
-      lazy_rows_.emplace(slot,
-                         LazyRow{batch, static_cast<std::uint32_t>(row),
-                                 received_at, id_counter_});
-    } else {
+    Slot slot = base + done;
+    if (journal_ != nullptr) {
       // Log-before-apply needs the stored bytes now.
       Document doc = b.storage_document(row, received_at);
       doc.as_object().set("_id", Value(id));
       log_record(Value(Object{{"op", Value("db.insert")},
                               {"c", Value(name_)},
                               {"doc", doc}}));
-      slots_.push_back(std::move(doc));
+      store_eager(slot, std::move(doc));
     }
     id_to_slot_.emplace(std::move(id), slot);
     // Column-wise indexing: flat columns answer directly; paths the
     // batch doesn't carry fall back to walking the stored document.
+    const ingest::ObsRow flat = b.row(row);
+    const Document* stored = nullptr;
     for (Cursor& c : cursors) {
       Value key;
-      if (b.index_value(*c.path, row, received_at, key)) {
+      if (flat.index_value(*c.path, received_at, key)) {
         if (key.is_null()) continue;
-      } else if (const Value* v = doc_at(slot).find_path(*c.path)) {
-        key = *v;
       } else {
-        continue;
+        if (stored == nullptr) stored = &doc_at(slot, built);
+        const Value* v = stored->find_path(*c.path);
+        if (v == nullptr) continue;
+        key = *v;
       }
       auto& entries = c.index->entries;
       if (c.has_last) {
@@ -185,26 +272,38 @@ std::size_t Collection::insert_batch(
     if (metrics_.inserts != nullptr) metrics_.inserts->inc();
     if (metrics_.documents != nullptr) metrics_.documents->add(1.0);
   }
-  return done;
+  return n;
 }
 
-const Document& Collection::doc_at(Slot s) const {
-  if (slots_[s].has_value()) return *slots_[s];
-  auto it = lazy_rows_.find(s);
+const Document& Collection::doc_at(Slot s, Document& built) const {
   // Callers guarantee slot_alive(s); a dead slot here is a logic error.
-  const LazyRow& lazy = it->second;
-  Document doc = lazy.batch->storage_document(lazy.row, lazy.received_at);
-  doc.as_object().set(
-      "_id", Value(name_ + "-" + std::to_string(lazy.id_counter)));
-  slots_[s] = std::move(doc);
-  lazy_rows_.erase(it);
-  return *slots_[s];
+  const SlotRef& ref = slots_[s];
+  if (ref.segment == kEager) return docs_[ref.row];
+  built = segments_[ref.segment].document(ref.row, name_);
+  return built;
+}
+
+Document Collection::document(Slot s) const {
+  const SlotRef& ref = slots_[s];
+  if (ref.segment == kEager) return docs_[ref.row];
+  return segments_[ref.segment].document(ref.row, name_);
+}
+
+void Collection::store_eager(Slot s, Document doc) {
+  if (s == slots_.size()) slots_.push_back(SlotRef{kDead, 0});
+  SlotRef& ref = slots_[s];
+  if (ref.segment == kEager) {
+    docs_[ref.row] = std::move(doc);
+    return;
+  }
+  ref = SlotRef{kEager, static_cast<std::uint32_t>(docs_.size())};
+  docs_.push_back(std::move(doc));
 }
 
 std::optional<Document> Collection::get(const std::string& id) const {
   auto it = id_to_slot_.find(id);
   if (it == id_to_slot_.end()) return std::nullopt;
-  return doc_at(it->second);
+  return document(it->second);
 }
 
 void Collection::index_document(Slot slot, const Document& doc) {
@@ -270,7 +369,7 @@ using EntryIt = Entries::const_iterator;
 /// Cost-model constant of the bounded intersection. Walking an index
 /// entry is a tree step and a slot copy; a candidate the intersection
 /// would have removed instead costs the residual `query.matches`, which
-/// rehydrates a lazy row and evaluates every clause — well over ten
+/// builds a segment row and evaluates every clause — well over ten
 /// entry steps. So a range up to this many times the driver's length is
 /// worth walking and intersecting, and a longer one (the `app` index
 /// beside an hourly window holds every document) is dropped and left to
@@ -450,8 +549,11 @@ void Collection::visit_matches(const Query& query, const Plan& p,
                                Fn&& fn) const {
   note_plan(p.kind());
   note_find(p.use_index);
+  Document built;
   auto visit = [&](Slot s) {
-    if (slot_alive(s) && query.matches(doc_at(s))) fn(s, doc_at(s));
+    if (!slot_alive(s)) return;
+    const Document& d = doc_at(s, built);
+    if (query.matches(d)) fn(s, d);
   };
   if (p.use_index) {
     for (Slot s : p.candidates) visit(s);
@@ -509,9 +611,11 @@ std::vector<Document> Collection::find_via_sort_index(
   // the field contributes exactly one entry, so when the entry count
   // equals the document count the missing-field scan can be skipped.
   std::vector<Slot> null_group;
+  Document built;
   if (entries.size() != id_to_slot_.size()) {
     for (Slot s = 0; s < slots_.size(); ++s)
-      if (slot_alive(s) && doc_at(s).find_path(options.sort_by) == nullptr)
+      if (slot_alive(s) &&
+          doc_at(s, built).find_path(options.sort_by) == nullptr)
         null_group.push_back(s);
   }
   auto [null_lo, null_hi] = entries.equal_range(IndexKey{Value()});
@@ -533,7 +637,9 @@ std::vector<Document> Collection::find_via_sort_index(
     std::sort(group.begin(), group.end());
     for (Slot s : group) {
       if (done()) return;
-      if (slot_alive(s) && query.matches(doc_at(s))) out.push_back(doc_at(s));
+      if (!slot_alive(s)) continue;
+      const Document& d = doc_at(s, built);
+      if (query.matches(d)) out.push_back(d);
     }
   };
   if (!options.descending) {
@@ -683,9 +789,10 @@ bool Collection::replace_checked(const std::string& id, Document doc,
                             {"c", Value(name_)},
                             {"id", Value(id)},
                             {"doc", doc}}));
-  unindex_document(slot, doc_at(slot));
-  slots_[slot] = std::move(doc);
-  index_document(slot, *slots_[slot]);
+  Document built;
+  unindex_document(slot, doc_at(slot, built));
+  index_document(slot, doc);
+  store_eager(slot, std::move(doc));
   return true;
 }
 
@@ -704,10 +811,11 @@ std::size_t Collection::update_many(
   visit_matches(query, plan(query),
                 [&](Slot slot, const Document&) { matches.push_back(slot); });
   std::size_t updated = 0;
+  Document built;
   for (Slot slot : matches) {
     if (!slot_alive(slot)) continue;  // removed by an earlier mutate
-    std::string id = doc_at(slot).at("_id").as_string();
-    Document next = doc_at(slot);
+    Document next = document(slot);
+    std::string id = next.at("_id").as_string();
     mutate(next);
     next.as_object().set("_id", Value(id));  // _id is immutable
     auto it = id_to_slot_.find(id);
@@ -718,9 +826,9 @@ std::size_t Collection::update_many(
                             {"c", Value(name_)},
                             {"id", Value(id)},
                             {"doc", next}}));
-    unindex_document(slot, doc_at(slot));
-    slots_[slot] = std::move(next);
-    index_document(slot, *slots_[slot]);
+    unindex_document(slot, doc_at(slot, built));
+    index_document(slot, next);
+    store_eager(slot, std::move(next));
     ++updated;
   }
   return updated;
@@ -742,8 +850,11 @@ bool Collection::remove_checked(const std::string& id, bool journaled) {
                             {"c", Value(name_)},
                             {"id", Value(id)}}));
   Slot slot = it->second;
-  unindex_document(slot, doc_at(slot));
-  slots_[slot].reset();
+  Document built;
+  unindex_document(slot, doc_at(slot, built));
+  SlotRef& ref = slots_[slot];
+  if (ref.segment == kEager) docs_[ref.row] = Document();
+  ref.segment = kDead;
   id_to_slot_.erase(it);
   ++stats_.total_removes;
   stats_.document_count = id_to_slot_.size();
@@ -772,9 +883,10 @@ void Collection::create_index(const std::string& path) {
 void Collection::apply_create_index(const std::string& path) {
   if (indexes_.count(path) > 0) return;
   Index& index = indexes_[path];
+  Document built;
   for (Slot slot = 0; slot < slots_.size(); ++slot) {
     if (!slot_alive(slot)) continue;
-    if (const Value* v = doc_at(slot).find_path(path))
+    if (const Value* v = doc_at(slot, built).find_path(path))
       index.entries.insert({IndexKey{*v}, slot});
   }
   stats_.index_count = indexes_.size();
@@ -903,15 +1015,16 @@ std::vector<Collection::GroupAggregate> Collection::group_aggregate(
 
 void Collection::for_each(
     const std::function<void(const Document&)>& fn) const {
+  Document built;
   for (Slot s = 0; s < slots_.size(); ++s)
-    if (slot_alive(s)) fn(doc_at(s));
+    if (slot_alive(s)) fn(doc_at(s, built));
 }
 
 Value Collection::durable_snapshot() const {
   Array docs;
   docs.reserve(id_to_slot_.size());
   for (Slot s = 0; s < slots_.size(); ++s)
-    if (slot_alive(s)) docs.push_back(doc_at(s));
+    if (slot_alive(s)) docs.push_back(document(s));
   Array index_paths;
   for (const auto& [path, _] : indexes_) index_paths.push_back(Value(path));
   return Value(Object{
@@ -936,7 +1049,8 @@ void Collection::crash() {
   if (metrics_.documents != nullptr)
     metrics_.documents->add(-static_cast<double>(id_to_slot_.size()));
   slots_.clear();
-  lazy_rows_.clear();
+  segments_.clear();
+  docs_.clear();
   id_to_slot_.clear();
   indexes_.clear();
   id_counter_ = 0;

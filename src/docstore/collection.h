@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -69,19 +69,19 @@ class Collection {
   /// Bulk column-wise insert of rows [first, first+count) of a flat
   /// observation batch (DESIGN.md §13). Index entries are built straight
   /// from the batch columns, and — when no journal is attached — the
-  /// stored document itself is NOT materialized at insert time: the slot
-  /// keeps a reference into the batch and rehydrates the document (the
-  /// same bytes the oracle path inserts, including its generated _id) on
-  /// first read. With a journal attached the document is materialized
+  /// stored document itself is NOT materialized: the rows are copied into
+  /// the collection's tail column segment, and every read builds the
+  /// document (the same bytes the oracle path inserts, including its
+  /// generated _id) from there. The collection keeps no reference to
+  /// `batch`. With a journal attached the document is materialized
   /// eagerly so log-before-apply sees the exact stored bytes. The
   /// injected insert fault is consulted per row, before any state for
   /// that row is touched; the return value is the number of rows
   /// actually inserted — fewer than `count` means a transient failure
   /// stopped the run at row first+returned, which the caller resumes
   /// after backoff.
-  std::size_t insert_batch(const std::shared_ptr<const ingest::ObsBatch>& batch,
-                           std::size_t first, std::size_t count,
-                           TimeMs received_at);
+  std::size_t insert_batch(const ingest::ObsBatch& batch, std::size_t first,
+                           std::size_t count, TimeMs received_at);
 
   /// Fetches by _id.
   std::optional<Document> get(const std::string& id) const;
@@ -231,25 +231,58 @@ class Collection {
     }
   };
 
-  /// A slot whose document has not been rehydrated from its flat batch
-  /// yet (insert_batch fast path). The shared_ptr keeps the batch's
-  /// arena alive until every lazy row is materialized or removed. The
-  /// _id is reconstructed from the generator counter on rehydration
-  /// (generate_id is deterministic: name_ + "-" + counter), so the row
-  /// carries no per-row heap string.
-  struct LazyRow {
-    std::shared_ptr<const ingest::ObsBatch> batch;
-    std::uint32_t row = 0;
-    TimeMs received_at = 0;
-    std::uint64_t id_counter = 0;
+  /// Journal-less flat rows in column form (insert_batch, DESIGN.md §13):
+  /// the ObsBatch columns plus each row's received_at and _id counter
+  /// (generate_id is deterministic: name_ + "-" + counter). Strings are
+  /// interned into the segment's own table. Append-only; once full the
+  /// segment is sealed and never changes again — a replaced or removed
+  /// row simply stops being referenced by its slot.
+  struct Segment {
+    static constexpr std::size_t kRows = std::size_t{1} << 14;
+
+    std::vector<std::uint64_t> span_id;
+    std::vector<TimeMs> captured_at;
+    std::vector<double> spl, x, y, accuracy;
+    std::vector<std::uint8_t> mode, activity, has_location, provider;
+    std::vector<std::uint32_t> user, model, app, client;  // into strings
+    std::vector<TimeMs> received_at;
+    std::vector<std::uint64_t> id_counter;
+    std::vector<std::string> strings;
+    /// strings -> index, for interning; dropped when the segment seals.
+    std::map<std::string, std::uint32_t, std::less<>> string_ids;
+
+    Segment();
+    std::size_t size() const { return span_id.size(); }
+    /// Copies batch rows [first, first+n) (n <= kRows - size()); row k
+    /// gets _id counter first_id + k.
+    void append(const ingest::ObsBatch& batch, std::size_t first,
+                std::size_t n, TimeMs at, std::uint64_t first_id);
+    void seal() { string_ids = {}; }
+    /// Row `r` as a freshly built stored document.
+    Document document(std::uint32_t r, const std::string& collection) const;
+
+   private:
+    std::uint32_t intern(std::string_view s);
   };
 
-  /// True when the slot holds a live document — eager or still lazy.
-  bool slot_alive(Slot s) const {
-    return slots_[s].has_value() || lazy_rows_.count(s) > 0;
-  }
-  /// The document at a live slot; materializes (and caches) a lazy row.
-  const Document& doc_at(Slot s) const;
+  /// Where a slot's document lives: row `row` of segments_[segment], or
+  /// docs_[row] when segment is kEager. kDead marks a removed slot.
+  struct SlotRef {
+    std::uint32_t segment;
+    std::uint32_t row;
+  };
+  static constexpr std::uint32_t kDead = UINT32_MAX;
+  static constexpr std::uint32_t kEager = UINT32_MAX - 1;
+
+  bool slot_alive(Slot s) const { return slots_[s].segment != kDead; }
+  /// The document at a live slot: the eager document itself, or the
+  /// segment row built into `built` (never cached — the next call may
+  /// overwrite it).
+  const Document& doc_at(Slot s, Document& built) const;
+  /// The document at a live slot, by value.
+  Document document(Slot s) const;
+  /// Points a live or new slot at an eager document.
+  void store_eager(Slot s, Document doc);
 
   std::string generate_id();
   /// Shared bodies of the public mutators and the apply_* recovery
@@ -294,11 +327,11 @@ class Collection {
   };
 
   std::string name_;
-  // Mutable: const readers materialize lazy rows in place (the observable
-  // document bytes are identical before and after, only the storage form
-  // changes), so caching the rehydration is not a logical mutation.
-  mutable std::vector<std::optional<Document>> slots_;
-  mutable std::unordered_map<Slot, LazyRow> lazy_rows_;
+  std::vector<SlotRef> slots_;
+  std::vector<Segment> segments_;
+  /// Eager documents: journaled inserts and every replaced or updated
+  /// row. A removed document's entry is left empty.
+  std::vector<Document> docs_;
   std::unordered_map<std::string, Slot> id_to_slot_;
   std::map<std::string, Index> indexes_;
   std::uint64_t id_counter_ = 0;

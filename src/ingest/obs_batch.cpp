@@ -28,25 +28,43 @@ phone::Observation ObsBatch::observation_at(std::size_t i) const {
   return obs;
 }
 
-Object ObsBatch::observation_object(std::size_t i) const {
+ObsRow ObsBatch::row(std::size_t i) const {
+  ObsRow r;
+  r.app = app_;
+  r.client = client_;
+  r.user = user(i);
+  r.model = model(i);
+  r.span_id = span_ids_[i];
+  r.captured_at = captured_at_[i];
+  r.spl_db = spl_[i];
+  r.mode = mode(i);
+  r.activity = activity(i);
+  r.has_location = has_location(i);
+  r.provider = provider(i);
+  r.x_m = x_[i];
+  r.y_m = y_[i];
+  r.accuracy_m = accuracy_[i];
+  return r;
+}
+
+Object ObsRow::observation_object() const {
   // Field order must match phone::Observation::to_document() exactly —
   // the equivalence suite compares serialized bytes.
-  Object doc{{"user", value_from_view(user(i))},
-             {"model", value_from_view(model(i))},
-             {"captured_at", Value(captured_at_[i])},
-             {"spl", Value(spl_[i])},
-             {"mode", Value(phone::sensing_mode_name(mode(i)))},
-             {"activity", Value(phone::activity_name(activity(i)))}};
-  if (has_location(i)) {
+  Object doc{{"user", value_from_view(user)},
+             {"model", value_from_view(model)},
+             {"captured_at", Value(captured_at)},
+             {"spl", Value(spl_db)},
+             {"mode", Value(phone::sensing_mode_name(mode))},
+             {"activity", Value(phone::activity_name(activity))}};
+  if (has_location) {
     doc.set("location",
             Value(Object{
-                {"provider", Value(phone::location_provider_name(provider(i)))},
-                {"x", Value(x_[i])},
-                {"y", Value(y_[i])},
-                {"accuracy", Value(accuracy_[i])}}));
+                {"provider", Value(phone::location_provider_name(provider))},
+                {"x", Value(x_m)},
+                {"y", Value(y_m)},
+                {"accuracy", Value(accuracy_m)}}));
   }
-  if (span_ids_[i] != 0)
-    doc.set("span", Value(static_cast<std::int64_t>(span_ids_[i])));
+  if (span_id != 0) doc.set("span", Value(static_cast<std::int64_t>(span_id)));
   return doc;
 }
 
@@ -54,7 +72,7 @@ Value ObsBatch::to_batch_document() const {
   Array observations;
   observations.reserve(count_);
   for (std::size_t i = 0; i < count_; ++i)
-    observations.push_back(Value(observation_object(i)));
+    observations.push_back(Value(row(i).observation_object()));
   return Value(Object{{"app", value_from_view(app_)},
                       {"client", value_from_view(client_)},
                       {"batch_id", value_from_view(batch_id_)},
@@ -62,48 +80,47 @@ Value ObsBatch::to_batch_document() const {
                       {"observations", Value(std::move(observations))}});
 }
 
-Value ObsBatch::storage_document(std::size_t i, TimeMs received_at) const {
-  Object doc = observation_object(i);
-  doc.set("app", value_from_view(app_));
-  doc.set("client", value_from_view(client_));
+Value ObsRow::storage_document(TimeMs received_at) const {
+  Object doc = observation_object();
+  doc.set("app", value_from_view(app));
+  doc.set("client", value_from_view(client));
   doc.set("received_at", Value(received_at));
-  doc.set("delay_ms", Value(received_at - captured_at_[i]));
+  doc.set("delay_ms", Value(received_at - captured_at));
   return Value(std::move(doc));
 }
 
-bool ObsBatch::index_value(std::string_view path, std::size_t i,
-                           TimeMs received_at, Value& out) const {
+bool ObsRow::index_value(std::string_view path, TimeMs received_at,
+                         Value& out) const {
   if (path == "user") {
-    out = value_from_view(user(i));
+    out = value_from_view(user);
   } else if (path == "model") {
-    out = value_from_view(model(i));
+    out = value_from_view(model);
   } else if (path == "captured_at") {
-    out = Value(captured_at_[i]);
+    out = Value(captured_at);
   } else if (path == "spl") {
-    out = Value(spl_[i]);
+    out = Value(spl_db);
   } else if (path == "mode") {
-    out = Value(phone::sensing_mode_name(mode(i)));
+    out = Value(phone::sensing_mode_name(mode));
   } else if (path == "activity") {
-    out = Value(phone::activity_name(activity(i)));
+    out = Value(phone::activity_name(activity));
   } else if (path == "app") {
-    out = value_from_view(app_);
+    out = value_from_view(app);
   } else if (path == "client") {
-    out = value_from_view(client_);
+    out = value_from_view(client);
   } else if (path == "received_at") {
     out = Value(received_at);
   } else if (path == "delay_ms") {
-    out = Value(received_at - captured_at_[i]);
+    out = Value(received_at - captured_at);
   } else if (path == "span") {
-    if (span_ids_[i] != 0) out = Value(static_cast<std::int64_t>(span_ids_[i]));
+    if (span_id != 0) out = Value(static_cast<std::int64_t>(span_id));
   } else if (path == "location.provider") {
-    if (has_location(i))
-      out = Value(phone::location_provider_name(provider(i)));
+    if (has_location) out = Value(phone::location_provider_name(provider));
   } else if (path == "location.x") {
-    if (has_location(i)) out = Value(x_[i]);
+    if (has_location) out = Value(x_m);
   } else if (path == "location.y") {
-    if (has_location(i)) out = Value(y_[i]);
+    if (has_location) out = Value(y_m);
   } else if (path == "location.accuracy") {
-    if (has_location(i)) out = Value(accuracy_[i]);
+    if (has_location) out = Value(accuracy_m);
   } else {
     return false;  // not a flat column ("location", "_id", app-specific)
   }

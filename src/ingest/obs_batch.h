@@ -14,16 +14,21 @@
 //            user_idx  model_idx  -> interned-string table
 //
 // Batches come from a BatchPool, which recycles each batch's Arena when
-// the last shared_ptr drops (epoch reset, blocks retained) — steady-state
-// uploads allocate nothing but the shared_ptr control block.
+// the last shared_ptr drops (epoch reset, blocks retained). Nothing holds
+// a batch past its publish — the docstore copies the rows it keeps into
+// its own column segments — so steady-state uploads reuse a handful of
+// arenas and allocate only the ObsBatch object and its shared_ptr control
+// block.
 //
 // The document path stays wired as the oracle: to_batch_document() and
 // storage_document() reproduce the exact bytes the Value path produces,
-// which the flat-vs-document equivalence suite pins.
+// which the flat-vs-document equivalence suite pins. Both are defined
+// once, over ObsRow, which the docstore's segments decode to as well.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +40,33 @@
 #include "phone/observation.h"
 
 namespace mps::ingest {
+
+/// One observation row with its batch-level app and client, decoded from
+/// flat columns (an ObsBatch's or a docstore column segment's). The stored
+/// document layout is defined here once, for both.
+struct ObsRow {
+  std::string_view app, client, user, model;
+  std::uint64_t span_id = 0;
+  TimeMs captured_at = 0;
+  double spl_db = 0.0;
+  phone::SensingMode mode{};
+  phone::Activity activity{};
+  bool has_location = false;
+  phone::LocationProvider provider{};
+  double x_m = 0.0, y_m = 0.0, accuracy_m = 0.0;
+
+  /// The observation document (the to_document() byte layout).
+  Object observation_object() const;
+  /// The document the server's ingest path would hand the docstore: the
+  /// observation document plus app/client/received_at/delay_ms in the
+  /// exact order the oracle appends them.
+  Value storage_document(TimeMs received_at) const;
+  /// The indexable value at `path` without materializing the document;
+  /// false when the path is not a flat column (caller falls back to the
+  /// materialized document).
+  bool index_value(std::string_view path, TimeMs received_at,
+                   Value& out) const;
+};
 
 /// One client upload as flat columns. Immutable after construction;
 /// owns the Arena every column and interned string lives in.
@@ -75,9 +107,36 @@ class ObsBatch {
   /// Index into the interned-string table (strings()); rows sharing a
   /// model share the index, so per-model work can be memoized per entry.
   std::uint32_t model_index(std::size_t i) const { return model_idx_[i]; }
+  std::uint32_t user_index(std::size_t i) const { return user_idx_[i]; }
   /// The interned-string table (users and models, deduplicated).
   const std::string_view* strings() const { return strings_; }
   std::size_t string_count() const { return string_count_; }
+
+  /// Row `i` decoded (string views point into this batch).
+  ObsRow row(std::size_t i) const;
+
+  // --- Whole numeric columns (block copies into docstore segments) -------
+
+  std::span<const std::uint64_t> span_ids() const {
+    return {span_ids_, count_};
+  }
+  std::span<const std::int64_t> captured_ats() const {
+    return {captured_at_, count_};
+  }
+  std::span<const double> spls() const { return {spl_, count_}; }
+  std::span<const std::uint8_t> modes() const { return {mode_, count_}; }
+  std::span<const std::uint8_t> activities() const {
+    return {activity_, count_};
+  }
+  std::span<const std::uint8_t> has_locations() const {
+    return {has_location_, count_};
+  }
+  std::span<const std::uint8_t> providers() const {
+    return {provider_, count_};
+  }
+  std::span<const double> xs() const { return {x_, count_}; }
+  std::span<const double> ys() const { return {y_, count_}; }
+  std::span<const double> accuracies() const { return {accuracy_, count_}; }
 
   // --- Oracle materialization -------------------------------------------
 
@@ -89,16 +148,16 @@ class ObsBatch {
   /// observations:[...]}).
   Value to_batch_document() const;
 
-  /// The document the server's ingest path would hand the docstore for
-  /// row `i`: the observation document plus app/client/received_at/
-  /// delay_ms in the exact order the oracle appends them.
-  Value storage_document(std::size_t i, TimeMs received_at) const;
+  /// row(i).storage_document(received_at).
+  Value storage_document(std::size_t i, TimeMs received_at) const {
+    return row(i).storage_document(received_at);
+  }
 
-  /// The indexable value at `path` for row `i` without materializing the
-  /// document; false when the path is not a flat column (caller falls
-  /// back to the materialized document).
+  /// row(i).index_value(path, received_at, out).
   bool index_value(std::string_view path, std::size_t i, TimeMs received_at,
-                   Value& out) const;
+                   Value& out) const {
+    return row(i).index_value(path, received_at, out);
+  }
 
   /// Bytes the batch occupies in its arena.
   std::size_t arena_bytes() const { return arena_->bytes_allocated(); }
@@ -106,9 +165,6 @@ class ObsBatch {
  private:
   friend class BatchPool;
   ObsBatch() = default;
-
-  /// Row `i`'s observation document (the to_document() byte layout).
-  Object observation_object(std::size_t i) const;
 
   std::unique_ptr<Arena> arena_;
   std::string_view app_, client_, batch_id_;

@@ -93,6 +93,37 @@ TEST(Arena, HighWaterTracksPeakEpochAcrossResets) {
   EXPECT_EQ(arena.high_water(), 700u);  // the peak survives smaller epochs
 }
 
+TEST(Arena, ByteCountsAcrossSeveralBlocksAndEpochs) {
+  // bytes_allocated() is the sum of the per-block cursors up to the
+  // current block: alignment padding inside a block counts, the unused
+  // tail of a block that was skipped does not.
+  Arena arena(1024);
+  arena.allocate(1000);
+  EXPECT_EQ(arena.bytes_allocated(), 1000u);
+  arena.allocate(100, 8);  // does not fit: a second block
+  EXPECT_EQ(arena.bytes_allocated(), 1100u);
+  arena.allocate(3, 1);
+  arena.allocate(8, 8);  // one byte of padding first
+  EXPECT_EQ(arena.bytes_allocated(), 1112u);
+  arena.allocate(2000);  // oversized: a snug third block
+  EXPECT_EQ(arena.bytes_allocated(), 3112u);
+  EXPECT_EQ(arena.high_water(), 3112u);
+  EXPECT_EQ(arena.block_count(), 3u);
+
+  arena.reset();
+  arena.allocate(500);
+  arena.allocate(600);  // skips to the retained second block
+  EXPECT_EQ(arena.bytes_allocated(), 1100u);
+  arena.allocate(1500);  // skips to the retained 2000-byte block
+  EXPECT_EQ(arena.bytes_allocated(), 2600u);
+  EXPECT_EQ(arena.high_water(), 3112u);
+  arena.allocate(1000);  // no retained block left: a fourth
+  EXPECT_EQ(arena.bytes_allocated(), 3600u);
+  EXPECT_EQ(arena.high_water(), 3600u);
+  EXPECT_EQ(arena.block_count(), 4u);
+  EXPECT_EQ(arena.bytes_reserved(), 1024u + 1024u + 2000u + 1024u);
+}
+
 TEST(Arena, OversizedAllocationGetsSnugBlock) {
   Arena arena(256);
   std::size_t big = 10 * 1024;
